@@ -2,7 +2,10 @@
 //! scenario — a Table 3 persona run to completion by
 //! [`run_engine_with_faults`] under [`AicPolicy`], committing every
 //! checkpoint write-behind through a [`StorageHierarchy`], with periodic
-//! full anchors and one mid-run level-2 failure.
+//! full anchors and one mid-run level-2 failure. The hierarchy runs
+//! without the dedup store, as the paper's engine does (with it, every
+//! first-seen page of a 768-page anchor becomes its own log append, and
+//! one commit takes seconds).
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

@@ -22,7 +22,7 @@ use aic_ckpt::service::ServiceConfig;
 use aic_ckpt::storage::BandwidthModel;
 use aic_ckpt::transport::{LinkConfig, WriteBehindConfig};
 use aic_delta::pa::{
-    pa_encode_cached, pa_encode_parallel_cached, PaDeltaFile, PageRecord, SourceIndexCache,
+    effective_parallel_plan, pa_encode_parallel_cached, PaDeltaFile, PageRecord, SourceIndexCache,
 };
 use aic_delta::stats::{CostModel, EncodeReport};
 use aic_memsim::{SimTime, Snapshot, PAGE_SIZE};
@@ -33,23 +33,28 @@ use crate::stats::{mean, ratio, Metrics, Outcome};
 use crate::tracer::Tracer;
 use crate::{engine, fleet};
 
-/// Per-layer metrics, in report order, with their units. A layer a
-/// workload never enters reports 0 (see the readable report's `n/a`).
-pub const PER_LAYER: [(&str, &str); 36] = [
-    ("fleet.snapshot_ns_per_page", "ns/page"),
+/// Per-layer metrics, in report order, with their units. Every layer
+/// timed per unit of work runs on every workload; a count or share a
+/// workload cannot have (no dedup store or NET² outside its workloads, no
+/// preemption with one client) reads 0. The dedup layer is off on the
+/// engine, so its cost is a share of cut and restore time (its per-call
+/// times are in the report's self-time table).
+/// The persona layer is the workload's state source: `SharedDatasetFleet`
+/// for the fleet, the memsim process for the engine.
+pub const PER_LAYER: [(&str, &str); 34] = [
+    ("persona.step_ns_per_dirty_page", "ns/page"),
+    ("persona.snapshot_ns_per_page", "ns/page"),
     ("pa.encode_ns_per_page", "ns/page"),
     ("pa.raw_page_frac", "ratio"),
     ("pa.delta_bytes_per_page", "B/page"),
     ("pa.index_hit_ratio", "ratio"),
     ("pa.cost_model_ratio", "ratio"),
-    ("pa.parallel_ns_per_page", "ns/page"),
     ("format.serialize_ns_per_byte", "ns/B"),
     ("format.parse_ns_per_byte", "ns/B"),
-    ("dedup.quote_ns_per_span", "ns/span"),
-    ("dedup.install_ns_per_span", "ns/span"),
+    ("dedup.cut_frac", "ratio"),
+    ("dedup.restore_frac", "ratio"),
     ("dedup.hit_ratio", "ratio"),
     ("dedup.verify_failures", "count"),
-    ("dedup.reassemble_ns_per_byte", "ns/B"),
     ("log.l1_append_ns_per_byte", "ns/B"),
     ("log.l2_append_ns_per_byte", "ns/B"),
     ("log.l3_append_ns_per_byte", "ns/B"),
@@ -62,13 +67,12 @@ pub const PER_LAYER: [(&str, &str); 36] = [
     ("recovery.recover_us", "us"),
     ("transport.enqueue_ns", "ns"),
     ("transport.advance_ns", "ns"),
-    ("transport.backpressure_wait_s", "s"),
+    ("transport.backpressure_frac", "ratio"),
     ("chain.replay_ns_per_page", "ns/page"),
     ("chain.records_per_restore", "records"),
     ("wallclock.shards_per_cut", "shards"),
     ("wallclock.preemptions_per_cut", "count"),
     ("wallclock.unattributed_frac", "ratio"),
-    ("memsim.step_ns_per_dirty_page", "ns/page"),
     ("policy.decide_us", "us"),
     ("policy.net2", "ratio"),
     ("trace.overhead_frac", "ratio"),
@@ -247,7 +251,7 @@ impl FleetReplay<'_> {
         let full = !t.has_anchor || t.cuts_since_full + 1 >= self.cfg.full_every;
         let cm = self.cfg.cost_model;
         let (mut file, c1, dl, ds) = if full {
-            let snap = tr.span("fleet.snapshot", self.pages as u64, || {
+            let snap = tr.span("persona.snapshot", self.pages as u64, || {
                 self.fleet.snapshot(t.persona, round)
             });
             let raw = snap.bytes();
@@ -258,19 +262,29 @@ impl FleetReplay<'_> {
                 raw as f64,
             )
         } else {
-            let open = tr.enter("fleet.snapshot");
-            let prev = self.fleet.snapshot(t.persona, round - 1);
-            let dirty = self.fleet.dirty(t.persona, round);
-            tr.exit(open, 2 * self.pages as u64);
+            let prev = tr.span("persona.snapshot", self.pages as u64, || {
+                self.fleet.snapshot(t.persona, round - 1)
+            });
+            let dirty = tr.span("persona.step", self.pages as u64, || {
+                self.fleet.dirty(t.persona, round)
+            });
+            // Shard-parallel at the server's pool width, as its encode
+            // pool runs it.
             let (h0, m0) = (self.cache.hits(), self.cache.misses());
             let (pa_file, report) = tr.span("pa.encode", dirty.len() as u64, || {
-                pa_encode_cached(&prev, &dirty, &self.cfg.pa, &self.cache)
+                pa_encode_parallel_cached(
+                    &prev,
+                    &dirty,
+                    &self.cfg.pa,
+                    self.cfg.cores,
+                    Some(&self.cache),
+                )
             });
             self.enc.add(
                 &pa_file,
                 &report,
                 &cm,
-                1,
+                self.cfg.cores,
                 self.cache.hits() - h0,
                 self.cache.misses() - m0,
             );
@@ -361,7 +375,7 @@ impl FleetReplay<'_> {
 
     fn snapshot_matches(&self, tr: &mut Tracer, persona: usize, img: &Image) -> Option<u64> {
         let round = round_of(&img.cpu_state)?;
-        let want = tr.span("fleet.snapshot", self.pages as u64, || {
+        let want = tr.span("persona.snapshot", self.pages as u64, || {
             self.fleet.snapshot(persona, round)
         });
         let same = tr.span("recovery.verify", self.pages as u64, || {
@@ -649,10 +663,11 @@ pub fn engine(seed: u64, run: &engine::EngineRun, trace: bool, outcome: &mut Out
     let mut checkpoints = log.intervals.iter().take(log.cut_times.len());
     let mut enc = EncodeCounts::default();
     let mut dirty_pages = 0u64;
+    let mut shards = 0u64;
     loop {
         let tick = process.now() + SimTime::from_secs(cfg.decision_period);
         tr.begin_op();
-        tr.span("memsim.step", 1, || process.run_until(tick));
+        tr.span("persona.step", 1, || process.run_until(tick));
         let now = process.now().as_secs();
         mirror.advance(&mut tr, now + stall_offset);
         if let Some(f) = fault.filter(|f| fault_pending && f.at <= now) {
@@ -690,7 +705,7 @@ pub fn engine(seed: u64, run: &engine::EngineRun, trace: bool, outcome: &mut Out
             cut_i += 1;
             let root = tr.enter("cut");
             let compact = force_full || (seq + 1).is_multiple_of(engine::FULL_EVERY);
-            let open = tr.enter("memsim.snapshot");
+            let open = tr.enter("persona.snapshot");
             let dirty_log = process.cut_interval();
             let dirty: Snapshot = process.snapshot_pages(dirty_log.iter().map(|d| d.page));
             tr.exit(open, dirty.len() as u64);
@@ -699,7 +714,7 @@ pub fn engine(seed: u64, run: &engine::EngineRun, trace: bool, outcome: &mut Out
             let live: Vec<u64> = process.space().page_indices().collect();
             let cpu_state = Bytes::from(process.save_cpu_state());
             let (ds_bytes, file) = if compact {
-                let full = tr.span("memsim.snapshot", live.len() as u64, || process.snapshot());
+                let full = tr.span("persona.snapshot", live.len() as u64, || process.snapshot());
                 let bytes = full.bytes();
                 (
                     bytes,
@@ -707,7 +722,8 @@ pub fn engine(seed: u64, run: &engine::EngineRun, trace: bool, outcome: &mut Out
                 )
             } else {
                 let (h0, m0) = (cache.hits(), cache.misses());
-                let (pf, report) = tr.span("pa.parallel", dirty.len() as u64, || {
+                shards += effective_parallel_plan(dirty.len(), cores).1 as u64;
+                let (pf, report) = tr.span("pa.encode", dirty.len() as u64, || {
                     pa_encode_parallel_cached(&prev_state, &dirty, &params, cores, Some(&cache))
                 });
                 enc.add(
@@ -784,18 +800,22 @@ pub fn engine(seed: u64, run: &engine::EngineRun, trace: bool, outcome: &mut Out
     }
     let mut m = layer_metrics(&tr, &mirror, &enc, mean(&run.cut_ms));
     let agg = tr.by_name();
-    let step = agg.get("memsim.step").copied().unwrap_or_default();
+    // The engine steps its persona once per decision tick: per page it
+    // checkpoints, not per tick.
+    let step = agg.get("persona.step").copied().unwrap_or_default();
     set(
         &mut m,
-        "memsim.step_ns_per_dirty_page",
+        "persona.step_ns_per_dirty_page",
         ratio(step.self_ns as f64, dirty_pages as f64),
         step.calls,
     );
-    // The engine's encode layer is the parallel encoder.
-    let par = agg.get("pa.parallel").copied().unwrap_or_default();
-    let par_ns = ratio(par.self_ns as f64, par.work as f64);
-    set(&mut m, "pa.parallel_ns_per_page", par_ns, par.calls);
-    set(&mut m, "pa.encode_ns_per_page", par_ns, par.calls);
+    let cuts = cut_i as u64;
+    set(
+        &mut m,
+        "wallclock.shards_per_cut",
+        ratio(shards as f64, cuts as f64),
+        cuts,
+    );
     set(
         &mut m,
         "policy.decide_us",
@@ -839,13 +859,10 @@ fn layer_metrics(
         ratio(a.total_ns as f64, a.calls as f64)
     };
     let c = mirror.counts;
-    let encode = get("pa.encode");
-    let parallel = get("pa.parallel");
-    let encode_ns = (encode.self_ns + parallel.self_ns) as f64;
+    let encode_ns = get("pa.encode").self_ns as f64;
     let reads = get("log.read");
     let read_at = get("log.read_at");
     let reassemble = get("dedup.reassemble");
-    let decode = get("dedup.decode");
     let spans = |names: &[&str]| names.iter().map(|n| get(n).calls).sum::<u64>();
     let restores = get("recovery.recover").calls;
     // name -> (value, samples behind it)
@@ -854,9 +871,14 @@ fn layer_metrics(
         values.insert(name, (value, samples));
     };
     put(
-        "fleet.snapshot_ns_per_page",
-        per_work("fleet.snapshot"),
-        spans(&["fleet.snapshot"]),
+        "persona.step_ns_per_dirty_page",
+        per_work("persona.step"),
+        spans(&["persona.step"]),
+    );
+    put(
+        "persona.snapshot_ns_per_page",
+        per_work("persona.snapshot"),
+        spans(&["persona.snapshot"]),
     );
     put(
         "pa.encode_ns_per_page",
@@ -894,14 +916,14 @@ fn layer_metrics(
         spans(&["format.parse"]),
     );
     put(
-        "dedup.quote_ns_per_span",
-        per_work("dedup.quote"),
-        spans(&["dedup.quote"]),
+        "dedup.cut_frac",
+        share_of_op(tr, &["dedup.quote", "dedup.install"], "cut"),
+        spans(&["dedup.quote", "dedup.install"]),
     );
     put(
-        "dedup.install_ns_per_span",
-        per_work("dedup.install"),
-        spans(&["dedup.install"]),
+        "dedup.restore_frac",
+        share_of_op(tr, &["dedup.decode", "dedup.reassemble"], "restore"),
+        reassemble.calls,
     );
     put(
         "dedup.hit_ratio",
@@ -912,14 +934,6 @@ fn layer_metrics(
         "dedup.verify_failures",
         c.dedup_verify_failures as f64,
         c.dedup_hits,
-    );
-    put(
-        "dedup.reassemble_ns_per_byte",
-        ratio(
-            (reassemble.self_ns + decode.self_ns) as f64,
-            reassemble.work as f64,
-        ),
-        reassemble.calls,
     );
     put(
         "log.l1_append_ns_per_byte",
@@ -984,9 +998,11 @@ fn layer_metrics(
         mean_total("transport.advance"),
         spans(&["transport.advance"]),
     );
+    // Share of the transport's clock its callers spent blocked on a full
+    // write-behind queue.
     put(
-        "transport.backpressure_wait_s",
-        mirror.transport.backpressure_wait(),
+        "transport.backpressure_frac",
+        ratio(mirror.transport.backpressure_wait(), mirror.transport.now()),
         spans(&["transport.enqueue"]),
     );
     put(
@@ -1049,6 +1065,28 @@ fn layer_metrics(
         );
     }
     m
+}
+
+/// Self time of the `names` spans inside `op` operations, as a share of
+/// those operations' time.
+fn share_of_op(tr: &Tracer, names: &[&str], op: &str) -> f64 {
+    let self_ns = tr.self_ns();
+    let mut root_of: BTreeMap<u64, &str> = BTreeMap::new();
+    let mut op_ns = 0u64;
+    for s in tr.spans.iter().filter(|s| s.parent.is_none()) {
+        root_of.insert(s.op, s.name);
+        if s.name == op {
+            op_ns += s.dur_ns();
+        }
+    }
+    let part: u64 = tr
+        .spans
+        .iter()
+        .zip(&self_ns)
+        .filter(|(s, _)| names.contains(&s.name) && root_of.get(&s.op) == Some(&op))
+        .map(|(_, ns)| ns)
+        .sum();
+    ratio(part as f64, op_ns as f64)
 }
 
 /// Mean time per cut covered by the cut's direct child spans, ms.
