@@ -22,7 +22,8 @@ use aic_ckpt::service::ServiceConfig;
 use aic_ckpt::storage::BandwidthModel;
 use aic_ckpt::transport::{LinkConfig, WriteBehindConfig};
 use aic_delta::pa::{
-    effective_parallel_plan, pa_encode_parallel_cached, PaDeltaFile, PageRecord, SourceIndexCache,
+    effective_parallel_plan, pa_encode_cached, pa_encode_parallel_cached, PaDeltaFile, PageRecord,
+    SourceIndexCache,
 };
 use aic_delta::stats::{CostModel, EncodeReport};
 use aic_memsim::{SimTime, Snapshot, PAGE_SIZE};
@@ -33,14 +34,15 @@ use crate::stats::{mean, ratio, Metrics, Outcome};
 use crate::tracer::Tracer;
 use crate::{engine, fleet};
 
-/// Per-layer metrics, in report order, with their units. Every layer
-/// timed per unit of work runs on every workload; a count or share a
-/// workload cannot have (no dedup store or NET² outside its workloads, no
-/// preemption with one client) reads 0. The dedup layer is off on the
-/// engine, so its cost is a share of cut and restore time (its per-call
-/// times are in the report's self-time table).
-/// The persona layer is the workload's state source: `SharedDatasetFleet`
-/// for the fleet, the memsim process for the engine.
+/// Per-layer metrics, in report order, with their units.
+///
+/// Every layer timed per unit of work runs on every workload; a count or
+/// share a workload cannot have (no dedup store or NET² outside its
+/// workloads, no preemption with one client) reads 0. The dedup store is
+/// off on the engine, so dedup cost is a share of cut and restore time
+/// (its per-call times are in the report's self-time table). The persona
+/// layer is the workload's state source: `SharedDatasetFleet` for the
+/// fleet, the memsim process for the engine.
 pub const PER_LAYER: [(&str, &str); 34] = [
     ("persona.step_ns_per_dirty_page", "ns/page"),
     ("persona.snapshot_ns_per_page", "ns/page"),
@@ -268,23 +270,18 @@ impl FleetReplay<'_> {
             let dirty = tr.span("persona.step", self.pages as u64, || {
                 self.fleet.dirty(t.persona, round)
             });
-            // Shard-parallel at the server's pool width, as its encode
-            // pool runs it.
+            // Serial, through the shared index cache: the server's encode
+            // pool runs the same shard work on persistent workers, which a
+            // per-call thread fan-out would misprice on 8-page jobs.
             let (h0, m0) = (self.cache.hits(), self.cache.misses());
             let (pa_file, report) = tr.span("pa.encode", dirty.len() as u64, || {
-                pa_encode_parallel_cached(
-                    &prev,
-                    &dirty,
-                    &self.cfg.pa,
-                    self.cfg.cores,
-                    Some(&self.cache),
-                )
+                pa_encode_cached(&prev, &dirty, &self.cfg.pa, &self.cache)
             });
             self.enc.add(
                 &pa_file,
                 &report,
                 &cm,
-                self.cfg.cores,
+                1,
                 self.cache.hits() - h0,
                 self.cache.misses() - m0,
             );
