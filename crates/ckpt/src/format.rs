@@ -264,12 +264,22 @@ impl CheckpointFile {
             return Err(ParseError::Malformed);
         }
 
-        let live_count = get_varint(&mut buf).ok_or(ParseError::Malformed)? as usize;
-        let mut live_pages = Vec::with_capacity(live_count);
+        let live_count = get_varint(&mut buf).ok_or(ParseError::Malformed)?;
+        // Every page gap takes at least one varint byte, so a count past
+        // the remaining input is malformed — checked before it sizes an
+        // allocation.
+        if live_count > buf.remaining() as u64 {
+            return Err(ParseError::Malformed);
+        }
+        let mut live_pages = Vec::with_capacity(live_count as usize);
         let mut prev = 0u64;
         for i in 0..live_count {
             let d = get_varint(&mut buf).ok_or(ParseError::Malformed)?;
-            let p = if i == 0 { d } else { prev + d };
+            let p = if i == 0 {
+                d
+            } else {
+                prev.checked_add(d).ok_or(ParseError::Malformed)?
+            };
             live_pages.push(p);
             prev = p;
         }
@@ -547,6 +557,51 @@ mod tests {
         raw[4..12].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             CheckpointFile::from_bytes(Bytes::from(raw)),
+            Err(ParseError::Malformed)
+        );
+    }
+
+    /// Frame a hand-built body with the magic and its valid checksum, so
+    /// only the body's structure is on trial.
+    fn sealed(body: &BytesMut) -> Bytes {
+        let mut out = BytesMut::new();
+        out.put_slice(&MAGIC);
+        out.put_u64_le(fnv1a(body));
+        out.put_slice(body);
+        out.freeze()
+    }
+
+    /// job=1, seq=0, kind=Full, then the live-page count.
+    fn body_with_live_count(count: u64) -> BytesMut {
+        let mut body = BytesMut::new();
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 0);
+        body.put_u8(CheckpointKind::Full.tag());
+        put_varint(&mut body, count);
+        body
+    }
+
+    #[test]
+    fn huge_live_count_is_malformed_not_an_allocation() {
+        let mut body = body_with_live_count(1 << 40);
+        body.put_slice(&[0u8; 16]);
+        assert_eq!(
+            CheckpointFile::from_bytes(sealed(&body)),
+            Err(ParseError::Malformed)
+        );
+    }
+
+    #[test]
+    fn overflowing_page_gap_is_malformed() {
+        let mut body = body_with_live_count(2);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, u64::MAX);
+        // An empty CPU blob and an empty page payload follow.
+        put_varint(&mut body, 0);
+        body.put_u8(0);
+        put_varint(&mut body, 0);
+        assert_eq!(
+            CheckpointFile::from_bytes(sealed(&body)),
             Err(ParseError::Malformed)
         );
     }

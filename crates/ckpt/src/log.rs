@@ -102,13 +102,18 @@ impl std::error::Error for LogError {}
 /// Encode one record frame: header + payload.
 pub fn encode_record(seq: u64, kind: CheckpointKind, payload: &Bytes) -> Bytes {
     let mut b = BytesMut::with_capacity(RECORD_HEADER_BYTES + payload.len());
+    put_record(&mut b, seq, kind, payload);
+    b.freeze()
+}
+
+/// Append one record frame to `b`.
+fn put_record(b: &mut BytesMut, seq: u64, kind: CheckpointKind, payload: &Bytes) {
     b.put_slice(&RECORD_MAGIC);
     b.put_u64_le(seq);
     b.put_u8(kind.tag());
     b.put_u32_le(payload.len() as u32);
     b.put_u64_le(fnv1a(payload));
     b.put_slice(payload);
-    b.freeze()
 }
 
 /// A record frame decoded back out of a segment.
@@ -243,9 +248,10 @@ pub struct LogStats {
 ///
 /// Billing discipline: every mutation returns the backing store's
 /// [`Receipt`], so the log inherits the level's bandwidth model — appends
-/// bill only the appended frame (RAID backings bill the touched stripe
-/// rows), reads bill the record's share of its segment, and compaction
-/// bills the full copy traffic it generates.
+/// bill only the appended frames, one store write per segment a call
+/// touches (RAID backings bill the touched stripe rows), reads bill the
+/// record's share of its segment, and compaction bills the full copy
+/// traffic it generates.
 #[derive(Debug, Clone)]
 pub struct CheckpointLog<S: Store> {
     store: S,
@@ -315,8 +321,7 @@ impl<S: Store> CheckpointLog<S> {
         kind: CheckpointKind,
         payload: &Bytes,
     ) -> (RecordLoc, Receipt) {
-        let frame = encode_record(seq, kind, payload);
-        self.append_frame(seq, kind, frame)
+        self.append_frame(seq, kind, encode_record(seq, kind, payload))
     }
 
     /// Append an already-encoded frame (the write-behind drain ships the
@@ -333,34 +338,91 @@ impl<S: Store> CheckpointLog<S> {
             Ok(DecodedRecord { seq: s, kind: k, .. }) if s == seq && k == kind
         ));
         let need = frame.len();
-        let active_len = self.segments[&self.active].len;
-        if active_len > 0 && active_len + need > self.seg_capacity {
-            self.seal_active();
+        let (locs, receipt) = self.append_frames(frame, &[(seq, kind, need)]);
+        (locs[0], receipt)
+    }
+
+    /// Append several records as one commit: each lands exactly where
+    /// [`CheckpointLog::append`] would put it (same rotation points, same
+    /// [`RecordLoc`]s, same segment bytes), but the frames bound for one
+    /// segment go to the store in a single write. The receipt therefore
+    /// bills one transfer per segment touched, not one per record.
+    pub fn append_batch<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, CheckpointKind, &'a Bytes)>,
+    ) -> (Vec<RecordLoc>, Receipt) {
+        let mut frames = BytesMut::new();
+        let mut heads = Vec::new();
+        for (seq, kind, payload) in records {
+            heads.push((seq, kind, RECORD_HEADER_BYTES + payload.len()));
+            put_record(&mut frames, seq, kind, payload);
         }
-        let loc = RecordLoc {
-            segment: self.active,
-            offset: self.segments[&self.active].len,
-            len: need,
+        self.append_frames(frames.freeze(), &heads)
+    }
+
+    /// Place the frames laid end to end in `frames` (`heads[i]` is the
+    /// seq, kind and framed length of the i-th), rotating the active
+    /// segment when a frame does not fit, and write each segment's run of
+    /// frames with one store append. Returns the locations and the summed
+    /// receipt.
+    fn append_frames(
+        &mut self,
+        frames: Bytes,
+        heads: &[(u64, CheckpointKind, usize)],
+    ) -> (Vec<RecordLoc>, Receipt) {
+        let mut locs = Vec::with_capacity(heads.len());
+        let mut total = Receipt {
+            bytes: 0,
+            seconds: 0.0,
         };
-        let receipt = self.store.append(&Self::seg_name(self.active), frame);
-        let meta = self.segments.get_mut(&self.active).expect("active meta");
-        meta.len += need;
-        meta.records += 1;
-        meta.live_records += 1;
-        meta.live_bytes += need as u64;
-        self.index.insert(
-            seq,
-            IndexEntry {
-                loc,
-                kind,
-                live: true,
-            },
-        );
-        if let Some(obs) = &self.obs {
-            obs.appends.inc();
-            obs.append_bytes.add(need as u64);
+        // `frames[run..pos]` is bound for the active segment.
+        let (mut run, mut pos) = (0, 0);
+        for &(seq, kind, need) in heads {
+            let active_len = self.segments[&self.active].len;
+            if active_len > 0 && active_len + need > self.seg_capacity {
+                self.write_run(&frames, run..pos, &mut total);
+                run = pos;
+                self.seal_active();
+            }
+            let meta = self.segments.get_mut(&self.active).expect("active meta");
+            let loc = RecordLoc {
+                segment: self.active,
+                offset: meta.len,
+                len: need,
+            };
+            meta.len += need;
+            meta.records += 1;
+            meta.live_records += 1;
+            meta.live_bytes += need as u64;
+            self.index.insert(
+                seq,
+                IndexEntry {
+                    loc,
+                    kind,
+                    live: true,
+                },
+            );
+            if let Some(obs) = &self.obs {
+                obs.appends.inc();
+                obs.append_bytes.add(need as u64);
+            }
+            locs.push(loc);
+            pos += need;
         }
-        (loc, receipt)
+        self.write_run(&frames, run..pos, &mut total);
+        (locs, total)
+    }
+
+    /// Append `frames[range]` to the active segment (nothing if empty).
+    fn write_run(&mut self, frames: &Bytes, range: std::ops::Range<usize>, total: &mut Receipt) {
+        if range.is_empty() {
+            return;
+        }
+        let r = self
+            .store
+            .append(&Self::seg_name(self.active), frames.slice(range));
+        total.bytes += r.bytes;
+        total.seconds += r.seconds;
     }
 
     fn seal_active(&mut self) {
@@ -398,9 +460,11 @@ impl<S: Store> CheckpointLog<S> {
             .collect()
     }
 
-    /// Read a live record's payload (checksum-verified).
+    /// Read a live record's payload (checksum-verified). `None` if the
+    /// frame at its location carries a different sequence number.
     pub fn read(&self, seq: u64) -> Option<Bytes> {
-        self.read_at(self.loc_of(seq)?)
+        let r = self.decode_at(self.loc_of(seq)?)?;
+        (r.seq == seq).then_some(r.payload)
     }
 
     /// Read the payload at an explicit location — the pinned-reader path:
@@ -408,11 +472,18 @@ impl<S: Store> CheckpointLog<S> {
     /// is exactly what the epoch pin guarantees. Returns `None` if the
     /// segment is gone or the frame fails validation.
     pub fn read_at(&self, loc: RecordLoc) -> Option<Bytes> {
-        let seg = self.store.get(&Self::seg_name(loc.segment))?;
-        if seg.len() < loc.offset + loc.len {
-            return None;
-        }
-        decode_record(&seg, loc.offset).ok().map(|r| r.payload)
+        self.decode_at(loc).map(|r| r.payload)
+    }
+
+    /// Read exactly the `loc.len` bytes at `loc` and decode them as one
+    /// whole frame; a frame of any other length means the location points
+    /// somewhere else.
+    fn decode_at(&self, loc: RecordLoc) -> Option<DecodedRecord> {
+        let frame = self
+            .store
+            .read_range(&Self::seg_name(loc.segment), loc.offset, loc.len)?;
+        let r = decode_record(&frame, 0).ok()?;
+        (r.frame_len == loc.len).then_some(r)
     }
 
     /// Simulated cost of reading a live record: the record's proportional
@@ -426,7 +497,7 @@ impl<S: Store> CheckpointLog<S> {
     /// [`CheckpointLog::read_receipt`] for an explicit location.
     pub fn read_receipt_at(&self, loc: RecordLoc) -> Option<Receipt> {
         let seg = self.store.read_receipt(&Self::seg_name(loc.segment))?;
-        let seg_len = self.store.get(&Self::seg_name(loc.segment))?.len();
+        let seg_len = self.store.object_len(&Self::seg_name(loc.segment))?;
         if seg_len == 0 {
             return None;
         }
@@ -515,8 +586,8 @@ impl<S: Store> CheckpointLog<S> {
         self.retired.retain(|r| {
             if r.retire_epoch < safe {
                 let name = Self::seg_name(r.segment);
-                if let Some(obj) = self.store.get(&name) {
-                    bytes += obj.len() as u64;
+                if let Some(len) = self.store.object_len(&name) {
+                    bytes += len as u64;
                 }
                 self.store.delete(&name);
                 segs += 1;
@@ -1015,6 +1086,76 @@ mod tests {
         assert_eq!(r0.bytes, 1000);
         assert_eq!(r1.bytes, 3000);
         assert!(r1.seconds > r0.seconds);
+    }
+
+    #[test]
+    fn misdirected_locations_read_nothing() {
+        let mut log = CheckpointLog::new(flat(), 1 << 20);
+        let (loc0, _) = log.append(0, CheckpointKind::Full, &payload(500, 22));
+        let (loc1, _) = log.append(1, CheckpointKind::Full, &payload(300, 23));
+        log.append(2, CheckpointKind::Full, &payload(500, 24));
+        // In-bounds locations whose length is not the frame's own: record
+        // 1's frame is shorter than record 0's length, and record 0's
+        // frame is longer than record 1's.
+        let long = RecordLoc {
+            len: loc0.len,
+            ..loc1
+        };
+        let short = RecordLoc {
+            len: loc1.len,
+            ..loc0
+        };
+        assert!(log.read_at(long).is_none());
+        assert!(log.read_at(short).is_none());
+        // An index entry pointing at another valid record of the same
+        // length: the frame decodes, but its seq is not the one asked for.
+        log.index.get_mut(&2).unwrap().loc = loc0;
+        assert_eq!(log.read_at(loc0).unwrap(), payload(500, 22));
+        assert!(log.read(2).is_none());
+        assert_eq!(log.read(0).unwrap(), payload(500, 22));
+    }
+
+    #[test]
+    fn append_batch_matches_per_record_appends() {
+        // Latency 1 s per store write makes the transfer count visible in
+        // the receipt's seconds.
+        let bw = BandwidthModel::new(1e6, 1.0);
+        let sizes = [300usize, 975, 10, 2_000, 0, 1_500, 700, 700, 5_000, 40];
+        let records: Vec<(u64, CheckpointKind, Bytes)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (i as u64, CheckpointKind::Chunk, payload(n, i as u64 + 200)))
+            .collect();
+        let mut single = CheckpointLog::new(FlatStore::new(bw), 2048);
+        let mut batched = CheckpointLog::new(FlatStore::new(bw), 2048);
+        // A record already in the active segment: the batch continues it.
+        single.append(99, CheckpointKind::Full, &payload(100, 199));
+        batched.append(99, CheckpointKind::Full, &payload(100, 199));
+        let mut locs = Vec::new();
+        for (seq, kind, p) in &records {
+            locs.push(single.append(*seq, *kind, p).0);
+        }
+        let (batch_locs, receipt) =
+            batched.append_batch(records.iter().map(|(s, k, p)| (*s, *k, p)));
+        assert_eq!(batch_locs, locs);
+        assert_eq!(batched.manifest_bytes(), single.manifest_bytes());
+        let touched: std::collections::BTreeSet<u64> = locs.iter().map(|l| l.segment).collect();
+        assert!(touched.len() > 2, "batch never rotated: {touched:?}");
+        for id in 0..single.next_segment {
+            let name = CheckpointLog::<FlatStore>::seg_name(id);
+            assert_eq!(
+                batched.store().get(&name),
+                single.store().get(&name),
+                "{name}"
+            );
+        }
+        let framed: usize = locs.iter().map(|l| l.len).sum();
+        assert_eq!(receipt.bytes, framed as u64);
+        let transfers = touched.len() as f64 + framed as f64 / 1e6;
+        assert!((receipt.seconds - transfers).abs() < 1e-9, "{receipt:?}");
+        for (seq, _, p) in &records {
+            assert_eq!(batched.read(*seq).unwrap(), *p);
+        }
     }
 
     #[test]

@@ -301,10 +301,11 @@ impl StorageObs {
     }
 }
 
-/// Install a record into one level's dedup store and append the result:
-/// new chunk records first (so a log scan never sees a dangling
-/// reference), then the reference frame at the record's own seq. Returns
-/// the combined append receipt.
+/// Install a record into one level's dedup store and append the result
+/// as one commit: new chunk records first (so a log scan never sees a
+/// dangling reference), then the reference frame at the record's own seq.
+/// The batch costs one store write per segment it touches, as a commit
+/// without dedup does. Returns the append receipt.
 fn append_installed<S: Store>(
     log: &mut CheckpointLog<S>,
     dedup: &mut LevelDedup,
@@ -315,18 +316,11 @@ fn append_installed<S: Store>(
     spans: &[usize],
 ) -> Receipt {
     let out = dedup.install(seq, payload, spans);
-    let mut total = Receipt {
-        bytes: 0,
-        seconds: 0.0,
-    };
-    for (cseq, bytes) in &out.new_chunks {
-        let (_, r) = log.append(*cseq, CheckpointKind::Chunk, bytes);
-        total.bytes += r.bytes;
-        total.seconds += r.seconds;
-    }
-    let (_, r) = log.append(seq, kind, &out.payload);
-    total.bytes += r.bytes;
-    total.seconds += r.seconds;
+    let chunks = out
+        .new_chunks
+        .iter()
+        .map(|(cseq, bytes)| (*cseq, CheckpointKind::Chunk, bytes));
+    let (_, total) = log.append_batch(chunks.chain([(seq, kind, &out.payload)]));
     if let Some(o) = obs {
         o.dedup_hits.add(out.hits);
         o.dedup_misses.add(out.misses);
