@@ -4,6 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use aic_bench::experiments::testbed_rates;
+use aic_ckpt::engine::EngineConfig;
+use aic_ckpt::policies::sic_optimal_w_pooled;
 use aic_model::concurrent::{net2_at, ConcurrentModel};
 use aic_model::moody::{moody_net2, moody_optimize, MoodySchedule};
 use aic_model::nonstatic::{optimal_w_budgeted, IntervalParams};
@@ -41,6 +44,23 @@ fn bench_decider(c: &mut Criterion) {
     });
 }
 
+fn bench_fleet_commit_solve(c: &mut Criterion) {
+    // The w* re-solve every adaptive fleet tenant runs after each commit,
+    // under the fleet's shared lock: a golden-section search over L2L3
+    // NET² with millisecond calibration means, a 1000-round horizon of
+    // 10 s bootstrap spans and a 4-worker pool. One case per L3 link:
+    // the fleet default (2 MB/s) and the benchmark's unpaced 10 GB/s.
+    let mut group = c.benchmark_group("fleet_commit_solve");
+    for (name, b3) in [("link_2MBps", 2.0e6), ("link_10GBps", 1.0e10)] {
+        let mut cfg = EngineConfig::testbed(testbed_rates());
+        cfg.b3 = b3;
+        group.bench_function(name, |b| {
+            b.iter(|| sic_optimal_w_pooled(2.0e-3, 1.5e-3, 24.0e3, &cfg, 10_000.0, 4));
+        });
+    }
+    group.finish();
+}
+
 fn bench_offline_optimizers(c: &mut Criterion) {
     let p = CoastalProfile::default();
     let costs = p.costs();
@@ -54,6 +74,7 @@ criterion_group!(
     benches,
     bench_chain_solve,
     bench_decider,
+    bench_fleet_commit_solve,
     bench_offline_optimizers
 );
 criterion_main!(benches);

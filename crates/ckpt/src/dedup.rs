@@ -389,30 +389,46 @@ fn encode_frame(payload: &Bytes, refs: &[(usize, u64)]) -> Bytes {
 
 impl Frame {
     /// Parse a serialized frame.
+    ///
+    /// Every declared length is checked against the input before it is
+    /// used: the span count must fit the remaining bytes (each span takes
+    /// at least two varint bytes) before any reservation, and span offsets
+    /// use checked arithmetic, so a crafted frame is `Malformed`, never a
+    /// huge allocation or an overflow.
     pub fn decode(bytes: &Bytes) -> Result<Frame, FrameError> {
         if !is_frame(bytes) {
             return Err(FrameError::Malformed);
         }
         let mut buf = bytes.slice(4..);
-        let total_len = get_varint(&mut buf).ok_or(FrameError::Malformed)? as usize;
-        let n = get_varint(&mut buf).ok_or(FrameError::Malformed)? as usize;
-        if n * PAGE_SIZE > total_len {
+        let next_len = |buf: &mut Bytes| {
+            get_varint(buf)
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or(FrameError::Malformed)
+        };
+        let total_len = next_len(&mut buf)?;
+        let n = next_len(&mut buf)?;
+        let span_bytes = n.checked_mul(PAGE_SIZE).ok_or(FrameError::Malformed)?;
+        if span_bytes > total_len || n > buf.len() / 2 {
             return Err(FrameError::Malformed);
         }
         let mut spans = Vec::with_capacity(n);
         let mut prev_end = 0usize;
         for _ in 0..n {
-            let gap = get_varint(&mut buf).ok_or(FrameError::Malformed)? as usize;
+            let gap = next_len(&mut buf)?;
             let seq_rel = get_varint(&mut buf).ok_or(FrameError::Malformed)?;
-            let off = prev_end + gap;
-            if off + PAGE_SIZE > total_len {
+            let seq = CHUNK_SEQ_BASE
+                .checked_add(seq_rel)
+                .ok_or(FrameError::Malformed)?;
+            let off = prev_end.checked_add(gap).ok_or(FrameError::Malformed)?;
+            let end = off.checked_add(PAGE_SIZE).ok_or(FrameError::Malformed)?;
+            if end > total_len {
                 return Err(FrameError::Malformed);
             }
-            spans.push((off, CHUNK_SEQ_BASE + seq_rel));
-            prev_end = off + PAGE_SIZE;
+            spans.push((off, seq));
+            prev_end = end;
         }
         let residual = buf;
-        if residual.len() != total_len - n * PAGE_SIZE {
+        if residual.len() != total_len - span_bytes {
             return Err(FrameError::Malformed);
         }
         Ok(Frame {
@@ -598,6 +614,62 @@ mod tests {
         put_varint(&mut bad, 0);
         put_varint(&mut bad, 0);
         assert_eq!(Frame::decode(&bad.freeze()), Err(FrameError::Malformed));
+    }
+
+    /// A frame header `"AIDD" | total_len | n` followed by `spans` as
+    /// `(gap, seq_rel)` varint pairs and `tail` raw bytes.
+    fn crafted_frame(total_len: u64, n: u64, spans: &[(u64, u64)], tail: &[u8]) -> Bytes {
+        let mut out = BytesMut::new();
+        out.put_slice(b"AIDD");
+        put_varint(&mut out, total_len);
+        put_varint(&mut out, n);
+        for &(gap, seq_rel) in spans {
+            put_varint(&mut out, gap);
+            put_varint(&mut out, seq_rel);
+        }
+        out.put_slice(tail);
+        out.freeze()
+    }
+
+    #[test]
+    fn frame_decode_rejects_a_span_count_the_input_cannot_hold() {
+        // 14 bytes declaring 2^52 + 1 spans: `n * PAGE_SIZE` wraps to 4096
+        // in unchecked arithmetic, and reserving `n` spans would ask for
+        // 64 PiB. It must be a typed error instead.
+        let bad = crafted_frame(8192, (1 << 52) + 1, &[], &[]);
+        assert_eq!(bad.len(), 14);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+        // A count that passes the page bound but not the input bound.
+        let bad = crafted_frame(1 << 40, 1 << 20, &[(0, 0)], &[]);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+        // `n * PAGE_SIZE` overflowing usize outright.
+        let bad = crafted_frame(u64::MAX, u64::MAX, &[], &[]);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+    }
+
+    #[test]
+    fn frame_decode_rejects_overflowing_offsets_and_seqs() {
+        // A gap of u64::MAX overflows `prev_end + gap`.
+        let bad = crafted_frame(2 * PAGE_SIZE as u64, 2, &[(0, 0), (u64::MAX, 0)], &[]);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+        // A gap that lands `off + PAGE_SIZE` past usize::MAX.
+        let gap = (usize::MAX - PAGE_SIZE + 1) as u64;
+        let bad = crafted_frame(u64::MAX, 1, &[(gap, 0)], &[]);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+        // A sequence offset that overflows `CHUNK_SEQ_BASE + seq_rel`.
+        let bad = crafted_frame(PAGE_SIZE as u64, 1, &[(0, u64::MAX)], &[]);
+        assert_eq!(Frame::decode(&bad), Err(FrameError::Malformed));
+    }
+
+    #[test]
+    fn frame_decode_accepts_a_well_formed_crafted_frame() {
+        // The same builder yields a valid frame when the lengths agree:
+        // one span at offset 3 inside a 3 + PAGE_SIZE + 2 byte payload.
+        let ok = crafted_frame(PAGE_SIZE as u64 + 5, 1, &[(3, 7)], b"abcde");
+        let f = Frame::decode(&ok).unwrap();
+        assert_eq!(f.total_len, PAGE_SIZE + 5);
+        assert_eq!(f.spans, vec![(3, CHUNK_SEQ_BASE + 7)]);
+        assert_eq!(&f.residual[..], b"abcde");
     }
 
     #[test]

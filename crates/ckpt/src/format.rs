@@ -607,6 +607,45 @@ mod tests {
     }
 
     #[test]
+    fn huge_delta_target_len_is_a_typed_error_not_an_allocation() {
+        // A sealed AICK body (valid FNV checksum) whose delta record
+        // declares a target of ~2^63 bytes. The body is structurally valid,
+        // so it parses; applying it must be a typed error, never an
+        // attempt to reserve the declared length.
+        let mut rng = StdRng::seed_from_u64(36);
+        let prev = random_snapshot(1, 36);
+        let mut bytes = prev.get(0).unwrap().as_slice().to_vec();
+        for b in &mut bytes[0..64] {
+            *b = rng.gen();
+        }
+        let dirty = Snapshot::from_pages([(0, Page::from_bytes(&bytes))]);
+        let (mut file, _) = pa_encode(&prev, &dirty, &PaParams::default());
+        let huge = (1u64 << 63) + 11;
+        match &mut file.records[0] {
+            PageRecord::Delta { delta, .. } => delta.target_len = huge,
+            PageRecord::Raw { .. } => panic!("expected a delta record"),
+        }
+        let sealed = CheckpointFile::delta(1, 1, file, vec![0], Bytes::new()).to_bytes();
+        let parsed = CheckpointFile::from_bytes(sealed).unwrap();
+        let Payload::Delta(df) = parsed.payload else {
+            panic!("wrong payload")
+        };
+        let PageRecord::Delta { delta, .. } = &df.records[0] else {
+            panic!("expected a delta record")
+        };
+        assert_eq!(delta.target_len, huge);
+        let expected = aic_delta::decode::DecodeError::TargetLenMismatch {
+            expected: huge,
+            actual: PAGE_SIZE as u64,
+        };
+        assert_eq!(
+            aic_delta::decode::decode(prev.get(0).unwrap().as_slice(), delta),
+            Err(expected)
+        );
+        assert!(aic_delta::pa::pa_decode(&prev, &df).is_err());
+    }
+
+    #[test]
     fn page_spans_cover_exactly_the_verbatim_page_runs() {
         for f in sample_files() {
             let plain = f.to_bytes();

@@ -5,7 +5,7 @@
 //! sequential model — exactly as Section V.A describes ("Both Moody and SIC
 //! require the average checkpoint latency beforehand").
 
-use aic_model::concurrent::{net2_at, ConcurrentModel};
+use aic_model::concurrent::ConcurrentModel;
 use aic_model::moody::{moody_optimize, MoodyOptimum};
 use aic_model::nonstatic::IntervalParams;
 use aic_model::optimize::golden_minimize;
@@ -98,13 +98,8 @@ pub fn sic_optimal_w_pooled(
     };
     let w_lo = params.w_lower_bound();
     let w_hi = (base_time * 4.0).max(w_lo * 2.0);
-    golden_minimize(
-        |w| net2_at(ConcurrentModel::L2L3, w, &costs, &config.rates),
-        w_lo,
-        w_hi,
-        1e-6,
-    )
-    .x
+    let chain = ConcurrentModel::L2L3.span_chain(&costs, &config.rates);
+    golden_minimize(|w| chain.net2(w), w_lo, w_hi, 1e-6).x
 }
 
 /// Mean interval measurements from a calibration run.
@@ -254,6 +249,51 @@ mod tests {
         assert!(w4 < w1, "w4={w4} w1={w1}");
         // cores = 1 matches the plain SIC path exactly.
         assert_eq!(w1, sic_optimal_w(0.1, 30.0, 1e6, &cfg, 800.0));
+    }
+
+    /// w* bits over a sweep of calibration means, links, horizons, pool
+    /// widths, sharing factors and failure profiles, folded into one FNV-1a
+    /// digest. The pins are the bits of the straightforward solver that
+    /// `aic-model`'s `solver_bit_identity` test keeps as its reference: a
+    /// faster solver must not move a single bit of any w*.
+    #[test]
+    fn sic_w_star_sweep_bits_are_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut n = 0;
+        let mut first = None;
+        for rates in [
+            FailureRates::three(2e-7, 1.8e-6, 4e-7).with_total(1e-3),
+            FailureRates::three(2e-7, 1.8e-6, 4e-7),
+        ] {
+            for b3 in [1.5e5, 2.0e6, 1.0e10] {
+                for sf in [1.0, 3.0] {
+                    let mut cfg = EngineConfig::testbed(rates.clone());
+                    cfg.b3 = b3;
+                    cfg.sharing_factor = sf;
+                    for base_time in [10.0, 800.0, 1e4] {
+                        for c1 in [1e-4, 2e-3, 0.1] {
+                            for dl in [1e-4, 1.5e-3, 0.5, 30.0] {
+                                for ds in [1e3, 24e3, 1e6, 10e6] {
+                                    for cores in [1, 4] {
+                                        let w = sic_optimal_w_pooled(
+                                            c1, dl, ds, &cfg, base_time, cores,
+                                        );
+                                        first.get_or_insert(w);
+                                        for byte in w.to_bits().to_le_bytes() {
+                                            h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                                        }
+                                        n += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(n, 3456);
+        assert_eq!(first, Some(1.0000009450770186), "first w* moved");
+        assert_eq!(h, 0x72BC_AB80_4639_B0DE, "w* sweep digest moved");
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub fn fit(xs: &[Vec<f64>], ys: &[f64], ridge: f64) -> Option<LinearFit> {
     assert!(xs.iter().all(|x| x.len() == k), "ragged design matrix");
     let d = k + 1; // + intercept
 
-    // Normal equations: (XᵀX + λI) β = Xᵀy with X including a 1s column.
-    let mut xtx = vec![vec![0.0; d]; d];
+    // Normal equations: (XᵀX + λI) β = Xᵀy with X including a 1s column;
+    // XᵀX is row-major d×d.
+    let mut xtx = vec![0.0; d * d];
     let mut xty = vec![0.0; d];
     for (x, &y) in xs.iter().zip(ys) {
         let mut row = Vec::with_capacity(d);
@@ -40,17 +41,16 @@ pub fn fit(xs: &[Vec<f64>], ys: &[f64], ridge: f64) -> Option<LinearFit> {
         for i in 0..d {
             xty[i] += row[i] * y;
             for j in 0..d {
-                xtx[i][j] += row[i] * row[j];
+                xtx[i * d + j] += row[i] * row[j];
             }
         }
     }
-    for (i, row) in xtx.iter_mut().enumerate() {
-        // Do not penalize the intercept.
-        if i > 0 {
-            row[i] += ridge;
-        }
+    // Do not penalize the intercept.
+    for i in 1..d {
+        xtx[i * d + i] += ridge;
     }
-    let beta = solve(xtx, xty)?;
+    solve(&mut xtx, &mut xty)?;
+    let beta = xty;
 
     let mean_y: f64 = ys.iter().sum::<f64>() / ys.len() as f64;
     let mut rss = 0.0;
@@ -133,5 +133,17 @@ mod tests {
         let f = fit(&xs, &ys, 1e-9).unwrap();
         assert!((f.beta[0] - 7.0).abs() < 1e-6);
         assert!(f.beta[1].abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_features_return_none() {
+        // A NaN or infinite feature reaches the normal equations' pivot
+        // column: the fit reports no solution instead of panicking.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xs: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 1.0]).collect();
+            xs[2][0] = bad;
+            let ys: Vec<f64> = (0..5).map(|i| i as f64).collect();
+            assert!(fit(&xs, &ys, 1e-9).is_none(), "feature {bad}");
+        }
     }
 }

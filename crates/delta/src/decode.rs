@@ -79,34 +79,47 @@ pub fn decode(source: &[u8], delta: &Delta) -> Result<Vec<u8>, DecodeError> {
         return Err(DecodeError::MalformedPayload);
     }
 
-    let mut out = Vec::with_capacity(delta.target_len as usize);
+    // The instructions fix the output length. Check every COPY range and
+    // the total against the header before reserving anything, so the
+    // reservation is what the instruction stream actually produces, never
+    // a corrupt header's declared length.
+    let mut produced: u64 = 0;
     for inst in &insts {
-        match inst {
+        let len = match inst {
             Inst::Copy { src_off, len } => {
-                let end = src_off
+                let in_range = src_off
                     .checked_add(*len)
-                    .ok_or(DecodeError::CopyOutOfRange {
-                        src_off: *src_off,
-                        len: *len,
-                    })?;
-                if end > source.len() as u64 {
+                    .is_some_and(|end| end <= source.len() as u64);
+                if !in_range {
                     return Err(DecodeError::CopyOutOfRange {
                         src_off: *src_off,
                         len: *len,
                     });
                 }
-                out.extend_from_slice(&source[*src_off as usize..end as usize]);
+                *len
+            }
+            Inst::Add(data) => data.len() as u64,
+        };
+        produced = produced.saturating_add(len);
+    }
+    let target_len = usize::try_from(produced)
+        .ok()
+        .filter(|_| produced == delta.target_len)
+        .ok_or(DecodeError::TargetLenMismatch {
+            expected: delta.target_len,
+            actual: produced,
+        })?;
+
+    let mut out = Vec::with_capacity(target_len);
+    for inst in &insts {
+        match inst {
+            Inst::Copy { src_off, len } => {
+                out.extend_from_slice(&source[*src_off as usize..(src_off + len) as usize]);
             }
             Inst::Add(data) => out.extend_from_slice(data),
         }
     }
 
-    if out.len() as u64 != delta.target_len {
-        return Err(DecodeError::TargetLenMismatch {
-            expected: delta.target_len,
-            actual: out.len() as u64,
-        });
-    }
     if fnv1a(&out) != delta.target_checksum {
         return Err(DecodeError::ChecksumMismatch);
     }
@@ -191,6 +204,23 @@ mod tests {
         delta.target_len += 1;
         let err = decode(b"abc", &delta).unwrap_err();
         assert!(matches!(err, DecodeError::TargetLenMismatch { .. }));
+    }
+
+    #[test]
+    fn huge_declared_target_len_is_an_error_not_a_reservation() {
+        // A header declaring a ~2^63-byte target over a 3-byte delta: the
+        // decoder must not reserve the declared length.
+        for target_len in [1u64 << 62, (1u64 << 63) + 7, u64::MAX] {
+            let mut delta = encode(b"abc", b"abc", &EncodeParams::default());
+            delta.target_len = target_len;
+            assert_eq!(
+                decode(b"abc", &delta).unwrap_err(),
+                DecodeError::TargetLenMismatch {
+                    expected: target_len,
+                    actual: 3,
+                }
+            );
+        }
     }
 
     #[test]

@@ -450,6 +450,13 @@ pub fn pa_decode(prev: &Snapshot, file: &PaDeltaFile) -> Result<Snapshot, Decode
                     expected: PAGE_SIZE as u64,
                     actual: 0,
                 })?;
+                // A page record must rebuild exactly one page.
+                if delta.target_len != PAGE_SIZE as u64 {
+                    return Err(DecodeError::TargetLenMismatch {
+                        expected: PAGE_SIZE as u64,
+                        actual: delta.target_len,
+                    });
+                }
                 let bytes = decode(old.as_slice(), delta)?;
                 out.insert(*idx, Page::from_bytes(&bytes));
             }
@@ -983,6 +990,28 @@ mod tests {
         assert!(report.delta_bytes < PAGE_SIZE as u64 / 2);
         let restored = pa_decode(&prev, &file).unwrap();
         assert_eq!(restored.get(0).unwrap(), &p0_new);
+    }
+
+    #[test]
+    fn delta_record_that_rebuilds_a_non_page_is_an_error() {
+        // A self-consistent delta (length and checksum agree) whose target
+        // is 10 bytes, not a page: decoding it would panic building the
+        // page, so it must be rejected up front.
+        let mut rng = StdRng::seed_from_u64(4);
+        let p0 = random_page(&mut rng);
+        let prev = Snapshot::from_pages([(0, p0.clone())]);
+        let delta = crate::encode::encode(p0.as_slice(), b"0123456789", &EncodeParams::default());
+        assert_eq!(decode(p0.as_slice(), &delta).unwrap(), b"0123456789");
+        let file = PaDeltaFile {
+            records: vec![PageRecord::Delta { idx: 0, delta }],
+        };
+        assert_eq!(
+            pa_decode(&prev, &file),
+            Err(DecodeError::TargetLenMismatch {
+                expected: PAGE_SIZE as u64,
+                actual: 10,
+            })
+        );
     }
 
     #[test]

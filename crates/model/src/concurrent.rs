@@ -24,8 +24,8 @@
 //! re-enters the window) or not (recovery falls back to the previous
 //! interval's copy and re-runs the lost work, the grey path of Fig. 8).
 
-use crate::failure::FailureRates;
-use crate::markov::{Chain, ChainBuilder};
+use crate::failure::{Exposure, FailureRates};
+use crate::markov::{Chain, ChainBuilder, StateId};
 use crate::params::LevelCosts;
 
 /// Which checkpoint levels are enabled (L3 always is — Section III.C).
@@ -56,24 +56,43 @@ impl ConcurrentModel {
         }
     }
 
+    /// The interval chain with every state whose exposure does not depend
+    /// on the work span already wired (see [`SpanChain`]).
+    pub fn span_chain<'a>(&self, costs: &LevelCosts, rates: &'a FailureRates) -> SpanChain<'a> {
+        assert_eq!(rates.levels(), 3, "concurrent models are 3-level");
+        let spec = match self {
+            // f1: the local file survives a transient even mid-window.
+            // f2/f3: only L3 can absorb them, and the fresh copy is still
+            // in flight.
+            ConcurrentModel::L1L3 => ChainSpec {
+                window_rec: [Some(1), None, None],
+                span_rec: [1, 3, 3],
+            },
+            // f1/f2 recover from the RAID group (the previous checkpoint's
+            // L2 copy lands within c2 − c1 ≪ w); f3 during the window is
+            // deep.
+            ConcurrentModel::L2L3 => ChainSpec {
+                window_rec: [Some(2), Some(2), None],
+                span_rec: [2, 2, 3],
+            },
+            ConcurrentModel::L1L2L3 => ChainSpec {
+                window_rec: [Some(1), Some(2), None],
+                span_rec: [1, 2, 3],
+            },
+        };
+        build_interval_chain(costs, &spec, rates)
+    }
+
     /// Build the interval Markov chain for work span `w`.
     pub fn chain(&self, w: f64, costs: &LevelCosts, rates: &FailureRates) -> Chain {
-        assert!(w > 0.0 && w.is_finite(), "work span must be positive");
-        assert_eq!(rates.levels(), 3, "concurrent models are 3-level");
-        match self {
-            ConcurrentModel::L1L3 => chain_l1l3(w, costs, rates),
-            ConcurrentModel::L2L3 => chain_l2l3(w, costs, rates),
-            ConcurrentModel::L1L2L3 => chain_l1l2l3(w, costs, rates),
-        }
+        self.span_chain(costs, rates).chain(w)
     }
 
     /// Expected runtime of one interval, `T_int`. Returns `f64::INFINITY`
     /// when the interval cannot complete (survival probability underflows —
     /// the work span is hopeless at this failure rate).
     pub fn interval_time(&self, w: f64, costs: &LevelCosts, rates: &FailureRates) -> f64 {
-        self.chain(w, costs, rates)
-            .expected_time()
-            .unwrap_or(f64::INFINITY)
+        self.span_chain(costs, rates).interval_time(w)
     }
 }
 
@@ -81,7 +100,78 @@ impl ConcurrentModel {
 /// of useful work, so the per-interval normalized turnaround equals the
 /// whole-run NET² for the static model).
 pub fn net2_at(model: ConcurrentModel, w: f64, costs: &LevelCosts, rates: &FailureRates) -> f64 {
-    model.interval_time(w, costs, rates) / w
+    model.span_chain(costs, rates).net2(w)
+}
+
+/// An interval chain with every state whose exposure does not depend on
+/// the work span already wired: the rerun, deep and recovery states. Only
+/// the three span states (`S1a`, `S1b`, `REDO`) are wired per `w`, so a
+/// search that evaluates dozens of spans computes the other exposures once.
+/// Each state keeps its edges in the same order as a chain wired in one go,
+/// and the solve accumulates every row from its own edges only, so the
+/// expected times are the same bits.
+#[derive(Debug, Clone)]
+pub struct SpanChain<'a> {
+    pub(crate) fixed: ChainBuilder,
+    pub(crate) rates: &'a FailureRates,
+    /// Blocking local checkpoint: the span's serial path is `w + c1`.
+    pub(crate) c1: f64,
+    /// The previous checkpoint's transfer window overlapping the span.
+    pub(crate) win: f64,
+    pub(crate) s1a: StateId,
+    pub(crate) s1b: StateId,
+    pub(crate) redo: StateId,
+    pub(crate) done: StateId,
+    pub(crate) window_dests: [StateId; 3],
+    pub(crate) span_dests: [StateId; 3],
+}
+
+impl SpanChain<'_> {
+    /// The full chain for work span `w`.
+    pub fn chain(&self, w: f64) -> Chain {
+        assert!(w > 0.0 && w.is_finite(), "work span must be positive");
+        let mut b = self.fixed.clone();
+        let span = w + self.c1;
+        let win_a = self.win.min(span);
+        let win_b = (span - win_a).max(0.0);
+        b.exposure(
+            self.s1a,
+            win_a,
+            win_a,
+            self.s1b,
+            &self.window_dests,
+            self.rates,
+        );
+        b.exposure(
+            self.s1b,
+            win_b,
+            win_b,
+            self.done,
+            &self.span_dests,
+            self.rates,
+        );
+        b.exposure(
+            self.redo,
+            span,
+            span,
+            self.done,
+            &self.span_dests,
+            self.rates,
+        );
+        b.build(self.s1a)
+    }
+
+    /// Expected runtime of the interval at work span `w`, `f64::INFINITY`
+    /// when absorption is unreachable (see
+    /// [`ConcurrentModel::interval_time`]).
+    pub fn interval_time(&self, w: f64) -> f64 {
+        self.chain(w).expected_time().unwrap_or(f64::INFINITY)
+    }
+
+    /// NET² at work span `w`: `T_int / w`.
+    pub fn net2(&self, w: f64) -> f64 {
+        self.interval_time(w) / w
+    }
 }
 
 // Chain construction notes (shared by all three configurations).
@@ -105,29 +195,30 @@ pub fn net2_at(model: ConcurrentModel, w: f64, costs: &LevelCosts, rates: &Failu
 // Recovery levels per configuration: L1L3 maps f1 → r1 and f2, f3 → r3;
 // L2L3 maps f1, f2 → r2 and f3 → r3; L1L2L3 maps f_k → r_k.
 
-/// Shared topology: build the interval chain given the per-context
-/// recovery times `[shallow_a, shallow_b]` for failures during the window /
-/// after it, and which failure levels are *deep* during the window (cannot
-/// be absorbed until the previous checkpoint reaches L3).
+/// Shared topology: build the interval chain given, per failure level, the
+/// checkpoint level that recovers it during the window and after it, and
+/// which failure levels are *deep* during the window (cannot be absorbed
+/// until the previous checkpoint reaches L3).
 struct ChainSpec {
-    /// Recovery time for level k during the window (None = deep path).
-    window_rec: [Option<f64>; 3],
-    /// Recovery time for level k after the window (always shallow).
-    span_rec: [f64; 3],
+    /// Recovery level for failure level k during the window (None = deep
+    /// path).
+    window_rec: [Option<usize>; 3],
+    /// Recovery level for failure level k after the window (always
+    /// shallow).
+    span_rec: [usize; 3],
 }
 
-fn build_interval_chain(
-    w: f64,
-    c1: f64,
-    win: f64,
-    r3: f64,
+fn build_interval_chain<'a>(
+    costs: &LevelCosts,
     spec: &ChainSpec,
-    rates: &FailureRates,
-) -> Chain {
-    let mut b = ChainBuilder::new();
-    let span = w + c1;
-    let win_a = win.min(span);
-    let win_b = (span - win_a).max(0.0);
+    rates: &'a FailureRates,
+) -> SpanChain<'a> {
+    // 15 states; each of the 14 live ones has at most 1 + 3 edges.
+    let mut b = ChainBuilder::with_capacity(15, 56);
+    let win = costs.transfer(3);
+    // Every recovery state is exposed for one of the three recovery
+    // times: their failure terms are computed once per chain.
+    let rec_ex: [Exposure; 3] = std::array::from_fn(|k| rates.exposure(costs.r(k + 1)));
 
     let s1a = b.state("S1a:window");
     let s1b = b.state("S1b:landed");
@@ -140,86 +231,47 @@ fn build_interval_chain(
     // re-enter S1a (the restarted transfer overlaps the redone span),
     // post-window recoveries re-enter REDO, rerun-context recoveries
     // re-enter RERUN.
-    let rec_a: Vec<_> = (0..3).map(|k| b.state(format!("Ra{k}"))).collect();
-    let rec_b: Vec<_> = (0..3).map(|k| b.state(format!("Rb{k}"))).collect();
-    let rec_rr: Vec<_> = (0..3).map(|k| b.state(format!("Rrr{k}"))).collect();
+    let rec_a: [StateId; 3] = std::array::from_fn(|k| b.state(["Ra0", "Ra1", "Ra2"][k]));
+    let rec_b: [StateId; 3] = std::array::from_fn(|k| b.state(["Rb0", "Rb1", "Rb2"][k]));
+    let rec_rr: [StateId; 3] = std::array::from_fn(|k| b.state(["Rrr0", "Rrr1", "Rrr2"][k]));
 
     // Failure destinations during the window: shallow recovery where a
     // surviving copy exists, the deep path otherwise.
-    let window_dests: Vec<_> = (0..3)
-        .map(|k| match spec.window_rec[k] {
-            Some(_) => rec_a[k],
-            None => rec3_deep,
-        })
-        .collect();
-    let span_dests: Vec<_> = (0..3).map(|k| rec_b[k]).collect();
-    let rerun_dests: Vec<_> = (0..3).map(|k| rec_rr[k]).collect();
+    let window_dests: [StateId; 3] = std::array::from_fn(|k| match spec.window_rec[k] {
+        Some(_) => rec_a[k],
+        None => rec3_deep,
+    });
+    let span_dests = rec_b;
+    let rerun_dests = rec_rr;
 
-    b.exposure(s1a, win_a, win_a, s1b, &window_dests, rates);
-    b.exposure(s1b, win_b, win_b, done, &span_dests, rates);
-    b.exposure(redo, span, span, done, &span_dests, rates);
+    // S1a, S1b and REDO depend on `w`: `SpanChain::chain` wires them.
     // The paper's State 5: re-run the previous interval's window work, then
     // restart the span (the re-cut checkpoint's transfer overlaps again).
     b.exposure(rerun, win, win, s1a, &rerun_dests, rates);
-    b.exposure(
-        rec3_deep,
-        r3,
-        r3,
-        rerun,
-        &[rec3_deep, rec3_deep, rec3_deep],
-        rates,
-    );
+    let r3 = costs.r(3);
+    b.exposure_with(rec3_deep, &rec_ex[2], r3, rerun, &[rec3_deep; 3]);
 
     for k in 0..3 {
-        let ra_time = spec.window_rec[k].unwrap_or(r3);
-        b.exposure(rec_a[k], ra_time, ra_time, s1a, &window_dests, rates);
-        b.exposure(
-            rec_b[k],
-            spec.span_rec[k],
-            spec.span_rec[k],
-            redo,
-            &span_dests,
-            rates,
-        );
-        b.exposure(
-            rec_rr[k],
-            spec.span_rec[k],
-            spec.span_rec[k],
-            rerun,
-            &rerun_dests,
-            rates,
-        );
+        let ra = spec.window_rec[k].unwrap_or(3);
+        let rb = spec.span_rec[k];
+        let (ra_time, rb_time) = (costs.r(ra), costs.r(rb));
+        b.exposure_with(rec_a[k], &rec_ex[ra - 1], ra_time, s1a, &window_dests);
+        b.exposure_with(rec_b[k], &rec_ex[rb - 1], rb_time, redo, &span_dests);
+        b.exposure_with(rec_rr[k], &rec_ex[rb - 1], rb_time, rerun, &rerun_dests);
     }
 
-    b.build(s1a)
-}
-
-fn chain_l1l3(w: f64, costs: &LevelCosts, rates: &FailureRates) -> Chain {
-    let spec = ChainSpec {
-        // f1: the local file survives a transient even mid-window. f2/f3:
-        // only L3 can absorb them, and the fresh copy is still in flight.
-        window_rec: [Some(costs.r(1)), None, None],
-        span_rec: [costs.r(1), costs.r(3), costs.r(3)],
-    };
-    build_interval_chain(w, costs.c(1), costs.transfer(3), costs.r(3), &spec, rates)
-}
-
-fn chain_l2l3(w: f64, costs: &LevelCosts, rates: &FailureRates) -> Chain {
-    let spec = ChainSpec {
-        // f1/f2 recover from the RAID group (the previous checkpoint's L2
-        // copy lands within c2 − c1 ≪ w); f3 during the window is deep.
-        window_rec: [Some(costs.r(2)), Some(costs.r(2)), None],
-        span_rec: [costs.r(2), costs.r(2), costs.r(3)],
-    };
-    build_interval_chain(w, costs.c(1), costs.transfer(3), costs.r(3), &spec, rates)
-}
-
-fn chain_l1l2l3(w: f64, costs: &LevelCosts, rates: &FailureRates) -> Chain {
-    let spec = ChainSpec {
-        window_rec: [Some(costs.r(1)), Some(costs.r(2)), None],
-        span_rec: [costs.r(1), costs.r(2), costs.r(3)],
-    };
-    build_interval_chain(w, costs.c(1), costs.transfer(3), costs.r(3), &spec, rates)
+    SpanChain {
+        fixed: b,
+        rates,
+        c1: costs.c(1),
+        win,
+        s1a,
+        s1b,
+        redo,
+        done,
+        window_dests,
+        span_dests,
+    }
 }
 
 #[cfg(test)]

@@ -68,34 +68,70 @@ impl FailureRates {
         }
     }
 
-    /// `P(no failure within τ)`.
-    pub fn p_survive(&self, tau: f64) -> f64 {
+    /// The failure quantities of one exposure window of duration `τ`.
+    pub fn exposure(&self, tau: f64) -> Exposure<'_> {
         debug_assert!(tau >= 0.0);
-        (-self.total() * tau).exp()
+        let total = self.total();
+        // `(−λ)·τ` and `−(λ·τ)` are the same float (negation is exact and
+        // rounding is sign-symmetric), so one `exp` and one `exp_m1` of
+        // `−λτ` serve every quantity below.
+        let x = total * tau;
+        let survive = (-x).exp();
+        let fail_any = -(-x).exp_m1(); // 1 - e^{-x}
+        let time_to_fail = if x < 1e-8 {
+            // Series: τ/2 · (1 − x/6 + O(x²))
+            tau / 2.0 * (1.0 - x / 6.0)
+        } else {
+            1.0 / total - tau * survive / fail_any
+        };
+        Exposure {
+            rates: self,
+            total,
+            survive,
+            fail_any,
+            time_to_fail,
+        }
+    }
+}
+
+/// One exposure window of duration `τ` under a [`FailureRates`]: the
+/// success probability, the per-level failure split and the conditional
+/// time to failure, all derived from a single `e^{−λτ}` and `1 − e^{−λτ}`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Exposure<'a> {
+    rates: &'a FailureRates,
+    total: f64,
+    survive: f64,
+    fail_any: f64,
+    time_to_fail: f64,
+}
+
+impl Exposure<'_> {
+    /// Number of failure levels.
+    pub fn levels(&self) -> usize {
+        self.rates.levels()
     }
 
-    /// `P(the first failure within τ is level k)` (1-based `k`).
-    pub fn p_fail_level(&self, k: usize, tau: f64) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
+    /// `P(no failure within τ) = e^{−λτ}`.
+    pub fn p_survive(&self) -> f64 {
+        self.survive
+    }
+
+    /// `P(the first failure within τ is level k) = (λ_k/λ)(1 − e^{−λτ})`
+    /// (1-based `k`).
+    pub fn p_fail_level(&self, k: usize) -> f64 {
+        if self.total == 0.0 {
             return 0.0;
         }
-        (self.rate(k) / total) * (-(-total * tau).exp_m1())
+        (self.rates.rate(k) / self.total) * self.fail_any
     }
 
     /// `E[elapsed time | some failure occurred within τ]`.
     ///
     /// Exact expression `1/λ − τ·e^{−λτ}/(1−e^{−λτ})`; for `λτ → 0` this
-    /// tends to `τ/2`, which we use directly below numerical noise.
-    pub fn expected_time_to_fail(&self, tau: f64) -> f64 {
-        let lam = self.total();
-        let x = lam * tau;
-        if x < 1e-8 {
-            // Series: τ/2 · (1 − x/6 + O(x²))
-            return tau / 2.0 * (1.0 - x / 6.0);
-        }
-        let denom = -(-x).exp_m1(); // 1 - e^{-x}
-        1.0 / lam - tau * (-x).exp() / denom
+    /// tends to `τ/2`, which is used directly below numerical noise.
+    pub fn expected_time_to_fail(&self) -> f64 {
+        self.time_to_fail
     }
 }
 
@@ -114,26 +150,23 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let f = FailureRates::three(1e-4, 5e-4, 2e-4);
-        let tau = 1234.5;
-        let sum = f.p_survive(tau)
-            + f.p_fail_level(1, tau)
-            + f.p_fail_level(2, tau)
-            + f.p_fail_level(3, tau);
+        let ex = f.exposure(1234.5);
+        let sum = ex.p_survive() + ex.p_fail_level(1) + ex.p_fail_level(2) + ex.p_fail_level(3);
         assert!((sum - 1.0).abs() < 1e-12, "sum={sum}");
     }
 
     #[test]
     fn survive_monotone_decreasing_in_tau() {
         let f = FailureRates::three(1e-4, 1e-4, 1e-4);
-        assert!(f.p_survive(10.0) > f.p_survive(100.0));
-        assert_eq!(f.p_survive(0.0), 1.0);
+        assert!(f.exposure(10.0).p_survive() > f.exposure(100.0).p_survive());
+        assert_eq!(f.exposure(0.0).p_survive(), 1.0);
     }
 
     #[test]
     fn expected_time_to_fail_small_rate_is_half_tau() {
         let f = FailureRates::three(1e-12, 0.0, 0.0);
         let tau = 100.0;
-        let e = f.expected_time_to_fail(tau);
+        let e = f.exposure(tau).expected_time_to_fail();
         assert!((e - 50.0).abs() < 1e-3, "e={e}");
     }
 
@@ -141,7 +174,7 @@ mod tests {
     fn expected_time_to_fail_large_rate_tends_to_mtbf() {
         // λτ ≫ 1: conditioning barely matters; E → 1/λ.
         let f = FailureRates::three(1.0, 0.0, 0.0);
-        let e = f.expected_time_to_fail(1000.0);
+        let e = f.exposure(1000.0).expected_time_to_fail();
         assert!((e - 1.0).abs() < 1e-6, "e={e}");
     }
 
@@ -149,7 +182,7 @@ mod tests {
     fn expected_time_to_fail_bounded_by_tau() {
         let f = FailureRates::three(1e-3, 2e-3, 0.5e-3);
         for tau in [0.1, 1.0, 10.0, 1000.0] {
-            let e = f.expected_time_to_fail(tau);
+            let e = f.exposure(tau).expected_time_to_fail();
             assert!(e > 0.0 && e < tau, "tau={tau} e={e}");
         }
     }
@@ -162,8 +195,34 @@ mod tests {
         let lam_hi = 1.01e-8;
         let f_lo = FailureRates::new(vec![lam_lo]);
         let f_hi = FailureRates::new(vec![lam_hi]);
-        let d = (f_lo.expected_time_to_fail(tau) - f_hi.expected_time_to_fail(tau)).abs();
+        let d = (f_lo.exposure(tau).expected_time_to_fail()
+            - f_hi.exposure(tau).expected_time_to_fail())
+        .abs();
         assert!(d < 1e-6, "discontinuity {d}");
+    }
+
+    #[test]
+    fn shared_exposure_terms_equal_the_direct_formulas_bit_for_bit() {
+        // One `exp` and one `exp_m1` of −(λτ) must give exactly the bits of
+        // the per-quantity formulas written with (−λ)·τ, on both sides of
+        // the series switch and into underflow.
+        let f = FailureRates::three(2e-4, 1.8e-3, 4e-4);
+        let lam = f.total();
+        for tau in [0.0, 1e-9, 4e-6, 4.5e-6, 0.5, 7.0, 1234.5, 1e5, 1e7] {
+            let ex = f.exposure(tau);
+            assert_eq!(ex.p_survive().to_bits(), (-lam * tau).exp().to_bits());
+            for k in 1..=3 {
+                let direct = (f.rate(k) / lam) * (-(-lam * tau).exp_m1());
+                assert_eq!(ex.p_fail_level(k).to_bits(), direct.to_bits());
+            }
+            let x = lam * tau;
+            let direct = if x < 1e-8 {
+                tau / 2.0 * (1.0 - x / 6.0)
+            } else {
+                1.0 / lam - tau * (-x).exp() / -(-x).exp_m1()
+            };
+            assert_eq!(ex.expected_time_to_fail().to_bits(), direct.to_bits());
+        }
     }
 
     #[test]

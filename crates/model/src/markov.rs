@@ -10,17 +10,20 @@
 //! which we do exactly with Gaussian elimination. A Monte-Carlo sampler over
 //! the same chain cross-validates the solver in tests.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 
-use crate::failure::FailureRates;
+use crate::failure::{Exposure, FailureRates};
 use crate::linalg::solve;
 
 /// Handle to a chain state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateId(pub(crate) usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Edge {
+    from: usize,
     dest: usize,
     prob: f64,
     time: f64,
@@ -28,16 +31,27 @@ struct Edge {
 
 #[derive(Debug, Clone)]
 struct State {
-    name: String,
-    edges: Vec<Edge>,
+    name: Cow<'static, str>,
     absorbing: bool,
+    /// Sum of the outgoing edge probabilities, in insertion order.
+    out_prob: f64,
+    /// Row in the linear system, assigned by [`ChainBuilder::build`]
+    /// (`None` for absorbing states, whose expected time is 0).
+    row: Option<usize>,
 }
 
 /// A fully built chain, ready to solve or sample.
+///
+/// Edges live in one list in insertion order; each state's outgoing edges
+/// keep their relative order, which fixes the float summation order of the
+/// solve.
 #[derive(Debug, Clone)]
 pub struct Chain {
     states: Vec<State>,
+    edges: Vec<Edge>,
     start: usize,
+    /// Number of live (non-absorbing) states: the system's dimension.
+    live: usize,
 }
 
 /// Incremental chain builder.
@@ -46,9 +60,22 @@ pub struct Chain {
 /// [`ChainBuilder::absorbing`], then wire them with
 /// [`ChainBuilder::exposure`] (the paper's state pattern: one success edge
 /// plus one failure edge per level) or raw [`ChainBuilder::edge`] calls.
+///
+/// A clone keeps the original's capacity, so a partly wired builder can be
+/// cloned and completed without reallocating.
 #[derive(Debug, Default)]
 pub struct ChainBuilder {
     states: Vec<State>,
+    edges: Vec<Edge>,
+}
+
+impl Clone for ChainBuilder {
+    fn clone(&self) -> Self {
+        let mut b = ChainBuilder::with_capacity(self.states.capacity(), self.edges.capacity());
+        b.states.extend_from_slice(&self.states);
+        b.edges.extend_from_slice(&self.edges);
+        b
+    }
 }
 
 impl ChainBuilder {
@@ -57,24 +84,32 @@ impl ChainBuilder {
         Self::default()
     }
 
-    /// Add a normal state.
-    pub fn state(&mut self, name: impl Into<String>) -> StateId {
+    /// Fresh builder with room for `states` states and `edges` edges.
+    pub fn with_capacity(states: usize, edges: usize) -> Self {
+        ChainBuilder {
+            states: Vec::with_capacity(states),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
+    fn push_state(&mut self, name: Cow<'static, str>, absorbing: bool) -> StateId {
         self.states.push(State {
-            name: name.into(),
-            edges: Vec::new(),
-            absorbing: false,
+            name,
+            absorbing,
+            out_prob: 0.0,
+            row: None,
         });
         StateId(self.states.len() - 1)
     }
 
+    /// Add a normal state.
+    pub fn state(&mut self, name: impl Into<Cow<'static, str>>) -> StateId {
+        self.push_state(name.into(), false)
+    }
+
     /// Add an absorbing (terminal) state.
-    pub fn absorbing(&mut self, name: impl Into<String>) -> StateId {
-        self.states.push(State {
-            name: name.into(),
-            edges: Vec::new(),
-            absorbing: true,
-        });
-        StateId(self.states.len() - 1)
+    pub fn absorbing(&mut self, name: impl Into<Cow<'static, str>>) -> StateId {
+        self.push_state(name.into(), true)
     }
 
     /// Add a raw edge.
@@ -84,7 +119,9 @@ impl ChainBuilder {
             "prob {prob} out of range"
         );
         assert!(time >= 0.0 && time.is_finite(), "bad edge time {time}");
-        self.states[from.0].edges.push(Edge {
+        self.states[from.0].out_prob += prob;
+        self.edges.push(Edge {
+            from: from.0,
             dest: to.0,
             prob,
             time,
@@ -110,12 +147,26 @@ impl ChainBuilder {
         on_fail: &[StateId],
         rates: &FailureRates,
     ) {
-        assert_eq!(on_fail.len(), rates.levels(), "one destination per level");
         assert!(tau >= 0.0 && tau.is_finite(), "bad tau {tau}");
-        self.edge(from, ok, rates.p_survive(tau), success_time);
-        let t_fail = rates.expected_time_to_fail(tau);
+        self.exposure_with(from, &rates.exposure(tau), success_time, ok, on_fail);
+    }
+
+    /// [`ChainBuilder::exposure`] with the window's failure terms already
+    /// computed, so states exposed for the same duration share one
+    /// [`Exposure`].
+    pub fn exposure_with(
+        &mut self,
+        from: StateId,
+        ex: &Exposure<'_>,
+        success_time: f64,
+        ok: StateId,
+        on_fail: &[StateId],
+    ) {
+        assert_eq!(on_fail.len(), ex.levels(), "one destination per level");
+        self.edge(from, ok, ex.p_survive(), success_time);
+        let t_fail = ex.expected_time_to_fail();
         for (k, dest) in on_fail.iter().enumerate() {
-            let p = rates.p_fail_level(k + 1, tau);
+            let p = ex.p_fail_level(k + 1);
             if p > 0.0 {
                 self.edge(from, *dest, p, t_fail);
             }
@@ -127,22 +178,26 @@ impl ChainBuilder {
     /// # Panics
     /// Panics if any non-absorbing state's edge probabilities do not sum to
     /// 1 (within 1e-9), or an absorbing state has outgoing edges.
-    pub fn build(self, start: StateId) -> Chain {
-        for s in &self.states {
-            if s.absorbing {
-                assert!(s.edges.is_empty(), "absorbing state {} has edges", s.name);
-            } else {
-                let sum: f64 = s.edges.iter().map(|e| e.prob).sum();
-                assert!(
-                    (sum - 1.0).abs() < 1e-9,
-                    "state {} probabilities sum to {sum}",
-                    s.name
-                );
-            }
+    pub fn build(mut self, start: StateId) -> Chain {
+        if let Some(e) = self.edges.iter().find(|e| self.states[e.from].absorbing) {
+            panic!("absorbing state {} has edges", self.states[e.from].name);
+        }
+        let mut live = 0;
+        for s in self.states.iter_mut().filter(|s| !s.absorbing) {
+            let sum = s.out_prob;
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "state {} probabilities sum to {sum}",
+                s.name
+            );
+            s.row = Some(live);
+            live += 1;
         }
         Chain {
             states: self.states,
+            edges: self.edges,
             start: start.0,
+            live,
         }
     }
 }
@@ -152,28 +207,27 @@ impl Chain {
     ///
     /// Returns `None` if absorption is not reachable (singular system).
     pub fn expected_time(&self) -> Option<f64> {
-        let live: Vec<usize> = (0..self.states.len())
-            .filter(|&i| !self.states[i].absorbing)
-            .collect();
-        if live.is_empty() {
+        let n = self.live;
+        if n == 0 {
             return Some(0.0);
         }
-        let index_of: std::collections::HashMap<usize, usize> =
-            live.iter().enumerate().map(|(row, &s)| (s, row)).collect();
 
-        let n = live.len();
-        let mut a = vec![vec![0.0; n]; n];
+        let mut a = vec![0.0; n * n];
         let mut b = vec![0.0; n];
-        for (row, &s) in live.iter().enumerate() {
-            a[row][row] = 1.0;
-            for e in &self.states[s].edges {
-                b[row] += e.prob * e.time;
-                if let Some(&col) = index_of.get(&e.dest) {
-                    a[row][col] -= e.prob;
-                }
+        for row in 0..n {
+            a[row * n + row] = 1.0;
+        }
+        for e in &self.edges {
+            let row = self.states[e.from]
+                .row
+                .expect("build rejects edges out of absorbing states");
+            b[row] += e.prob * e.time;
+            if let Some(col) = self.states[e.dest].row {
+                a[row * n + col] -= e.prob;
             }
         }
-        let x = solve(a, b)?;
+        solve(&mut a, &mut b)?;
+        let x = b;
         // If absorption is unreachable from some live state (e.g. the
         // success probability underflowed to exactly 0 for an enormous
         // exposure), the system is singular in exact arithmetic but float
@@ -182,10 +236,10 @@ impl Chain {
         if x.iter().any(|v| !v.is_finite() || *v < -1e-9) {
             return None;
         }
-        if self.states[self.start].absorbing {
-            return Some(0.0);
+        match self.states[self.start].row {
+            Some(row) => Some(x[row]),
+            None => Some(0.0),
         }
-        Some(x[index_of[&self.start]])
     }
 
     /// Sample one walk from start to absorption; returns total time.
@@ -201,14 +255,15 @@ impl Chain {
             let u: f64 = rng.gen();
             let mut acc = 0.0;
             let mut chosen = None;
-            for e in &self.states[cur].edges {
+            for e in self.edges.iter().filter(|e| e.from == cur) {
                 acc += e.prob;
+                chosen = Some(e);
                 if u <= acc {
-                    chosen = Some(e);
                     break;
                 }
             }
-            let e = chosen.unwrap_or_else(|| self.states[cur].edges.last().unwrap());
+            // Round-off can leave `acc` a hair below `u`: the last edge.
+            let e = chosen.expect("build gives every live state an edge");
             total += e.time;
             cur = e.dest;
             hops += 1;
@@ -229,7 +284,7 @@ impl Chain {
 
     /// State names (for debugging / display).
     pub fn state_names(&self) -> Vec<&str> {
-        self.states.iter().map(|s| s.name.as_str()).collect()
+        self.states.iter().map(|s| s.name.as_ref()).collect()
     }
 }
 
@@ -335,5 +390,57 @@ mod tests {
         let done = b.absorbing("DONE");
         let c = b.build(done);
         assert_eq!(c.expected_time().unwrap(), 0.0);
+    }
+
+    #[test]
+    fn unreachable_absorption_is_none() {
+        // A certain self-loop never absorbs: the system is singular.
+        let mut b = ChainBuilder::new();
+        let s = b.state("S");
+        let _done = b.absorbing("DONE");
+        b.edge(s, s, 1.0, 1.0);
+        assert_eq!(b.build(s).expected_time(), None);
+    }
+
+    #[test]
+    fn overflowing_expected_time_is_none() {
+        // Every edge time is finite, but the expected total overflows: the
+        // elimination carries +inf into the solution, which is rejected.
+        let mut b = ChainBuilder::new();
+        let s = b.state("S");
+        let t = b.state("T");
+        let done = b.absorbing("DONE");
+        b.edge(t, s, 1.0, f64::MAX);
+        b.edge(s, done, 1.0, f64::MAX);
+        let c = b.build(t);
+        assert_eq!(c.expected_time(), None);
+        // The same chain one hop shorter stays finite.
+        let mut b = ChainBuilder::new();
+        let s = b.state("S");
+        let done = b.absorbing("DONE");
+        b.edge(s, done, 1.0, f64::MAX);
+        assert_eq!(b.build(s).expected_time(), Some(f64::MAX));
+    }
+
+    #[test]
+    fn state_names_keep_static_and_formatted_labels() {
+        let mut b = ChainBuilder::new();
+        let s = b.state("S");
+        let r = b.state(format!("R{}", 3));
+        let done = b.absorbing("DONE");
+        b.edge(s, done, 1.0, 1.0);
+        b.edge(r, s, 1.0, 1.0);
+        assert_eq!(b.build(s).state_names(), vec!["S", "R3", "DONE"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "absorbing state DONE has edges")]
+    fn absorbing_state_with_edges_rejected() {
+        let mut b = ChainBuilder::new();
+        let s = b.state("S");
+        let done = b.absorbing("DONE");
+        b.edge(s, done, 1.0, 1.0);
+        b.edge(done, s, 1.0, 1.0);
+        let _ = b.build(s);
     }
 }

@@ -12,6 +12,7 @@
 //! re-evaluates it with *measured* parameters to score a finished run
 //! (Eq. (1): `NET² = Σ T_int(i) / t`).
 
+use crate::concurrent::SpanChain;
 use crate::failure::FailureRates;
 use crate::markov::{Chain, ChainBuilder};
 use crate::optimize::{evt_minimize, Minimum};
@@ -101,12 +102,10 @@ pub fn interval_time_l2l3(
     prev: &IntervalParams,
     rates: &FailureRates,
 ) -> f64 {
-    // `None` means absorption is unreachable (survival probability
-    // underflowed for a hopelessly long span): expected time is infinite,
-    // which the optimizers treat as "never pick this w".
-    chain_l2l3_nonstatic(w, cur, prev, rates)
-        .expected_time()
-        .unwrap_or(f64::INFINITY)
+    // An unreachable absorption (survival probability underflowed for a
+    // hopelessly long span) is an infinite expected time, which the
+    // optimizers treat as "never pick this w".
+    span_chain_l2l3_nonstatic(cur, prev, rates).interval_time(w)
 }
 
 /// Per-interval NET² contribution: `T_int(i) / w` (the interval performs
@@ -117,7 +116,7 @@ pub fn net2_interval(
     prev: &IntervalParams,
     rates: &FailureRates,
 ) -> f64 {
-    interval_time_l2l3(w, cur, prev, rates) / w
+    span_chain_l2l3_nonstatic(cur, prev, rates).net2(w)
 }
 
 /// The paper's online `w*_L` search (Section III.E): Extreme Value Theorem
@@ -131,8 +130,9 @@ pub fn optimal_w(
     w_hi: f64,
     seed: f64,
 ) -> Minimum {
+    let chain = span_chain_l2l3_nonstatic(cur, prev, rates);
     evt_minimize(
-        |w| net2_interval(w, cur, prev, rates),
+        |w| chain.net2(w),
         w_lo.max(prev.w_lower_bound()),
         w_hi,
         seed,
@@ -153,8 +153,9 @@ pub fn optimal_w_budgeted(
     max_iter: usize,
     tol: f64,
 ) -> Minimum {
+    let chain = span_chain_l2l3_nonstatic(cur, prev, rates);
     crate::optimize::evt_minimize_with(
-        |w| net2_interval(w, cur, prev, rates),
+        |w| chain.net2(w),
         w_lo.max(prev.w_lower_bound()),
         w_hi,
         seed,
@@ -173,22 +174,31 @@ pub fn chain_l2l3_nonstatic(
     prev: &IntervalParams,
     rates: &FailureRates,
 ) -> Chain {
-    assert!(w > 0.0 && w.is_finite(), "work span must be positive");
+    span_chain_l2l3_nonstatic(cur, prev, rates).chain(w)
+}
+
+/// [`chain_l2l3_nonstatic`] with every state whose exposure does not depend
+/// on the work span already wired (see [`SpanChain`]).
+pub fn span_chain_l2l3_nonstatic<'a>(
+    cur: &IntervalParams,
+    prev: &IntervalParams,
+    rates: &'a FailureRates,
+) -> SpanChain<'a> {
     assert_eq!(rates.levels(), 3);
     // Interval i's serial path is `w + c1(i)`; everything that can fail it
     // over is recovered from interval i−1's checkpoints (the grey Fig. 8
     // states), so the window length and recovery times come from `prev`.
     // `cur`'s transfer window becomes the *next* interval's exposure —
     // mirroring the static chain's attribution (see `concurrent.rs`).
-    let c1 = cur.c[0];
     let win_prev = prev.transfer(3);
     let r2_prev = prev.r[1];
     let r3_prev = prev.r[2];
 
-    let mut b = ChainBuilder::new();
-    let span = w + c1;
-    let win_a = win_prev.min(span);
-    let win_b = (span - win_a).max(0.0);
+    // 11 states; each of the 10 live ones has at most 1 + 3 edges.
+    let mut b = ChainBuilder::with_capacity(11, 40);
+    // The six recovery states share two exposure durations.
+    let ex2 = rates.exposure(r2_prev);
+    let ex3 = rates.exposure(r3_prev);
 
     let s1a = b.state("S1a:window(i-1)");
     let s1b = b.state("S1b:landed");
@@ -204,52 +214,30 @@ pub fn chain_l2l3_nonstatic(
 
     // During the window, f1/f2 recover from the previous RAID copy; f3 is
     // deep (the previous checkpoint has not reached L3 yet).
-    b.exposure(s1a, win_a, win_a, s1b, &[rec2a, rec2a, rec3_deep], rates);
-    b.exposure(s1b, win_b, win_b, done, &[rec2b, rec2b, rec3b], rates);
-    b.exposure(redo, span, span, done, &[rec2b, rec2b, rec3b], rates);
-    b.exposure(
-        rerun,
-        win_prev,
-        win_prev,
+    let window_dests = [rec2a, rec2a, rec3_deep];
+    let span_dests = [rec2b, rec2b, rec3b];
+    let rerun_dests = [rec2rr, rec2rr, rec3rr];
+    // S1a, S1b and REDO depend on `w`: `SpanChain::chain` wires them.
+    b.exposure(rerun, win_prev, win_prev, s1a, &rerun_dests, rates);
+    b.exposure_with(rec3_deep, &ex3, r3_prev, rerun, &[rec3_deep; 3]);
+    b.exposure_with(rec2a, &ex2, r2_prev, s1a, &window_dests);
+    b.exposure_with(rec2b, &ex2, r2_prev, redo, &span_dests);
+    b.exposure_with(rec3b, &ex3, r3_prev, redo, &span_dests);
+    b.exposure_with(rec2rr, &ex2, r2_prev, rerun, &rerun_dests);
+    b.exposure_with(rec3rr, &ex3, r3_prev, rerun, &rerun_dests);
+
+    SpanChain {
+        fixed: b,
+        rates,
+        c1: cur.c[0],
+        win: win_prev,
         s1a,
-        &[rec2rr, rec2rr, rec3rr],
-        rates,
-    );
-    b.exposure(
-        rec3_deep,
-        r3_prev,
-        r3_prev,
-        rerun,
-        &[rec3_deep, rec3_deep, rec3_deep],
-        rates,
-    );
-    b.exposure(
-        rec2a,
-        r2_prev,
-        r2_prev,
-        s1a,
-        &[rec2a, rec2a, rec3_deep],
-        rates,
-    );
-    b.exposure(rec2b, r2_prev, r2_prev, redo, &[rec2b, rec2b, rec3b], rates);
-    b.exposure(rec3b, r3_prev, r3_prev, redo, &[rec2b, rec2b, rec3b], rates);
-    b.exposure(
-        rec2rr,
-        r2_prev,
-        r2_prev,
-        rerun,
-        &[rec2rr, rec2rr, rec3rr],
-        rates,
-    );
-    b.exposure(
-        rec3rr,
-        r3_prev,
-        r3_prev,
-        rerun,
-        &[rec2rr, rec2rr, rec3rr],
-        rates,
-    );
-    b.build(s1a)
+        s1b,
+        redo,
+        done,
+        window_dests,
+        span_dests,
+    }
 }
 
 #[cfg(test)]
